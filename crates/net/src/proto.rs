@@ -406,10 +406,14 @@ fn encode_opt_time(e: &mut Encoder, at: Option<Time>) {
     }
 }
 
+/// An optional submission time; a present time must be finite.
 fn decode_opt_time(d: &mut Decoder) -> Result<Option<Time>, CodecError> {
     match d.u8()? {
         0 => Ok(None),
-        1 => Ok(Some(d.f64()?)),
+        1 => match d.f64()? {
+            t if t.is_finite() => Ok(Some(t)),
+            t => Err(malformed(d, "submission time", t)),
+        },
         other => Err(CodecError::Malformed {
             offset: d.offset(),
             detail: format!("option tag {other}"),
@@ -941,5 +945,35 @@ impl Response {
         };
         d.finish()?;
         Ok(resp)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn submit_times_must_be_finite() {
+        for at in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let single = Request::Submit {
+                job: 0,
+                at: Some(at),
+            }
+            .encode();
+            assert!(matches!(
+                Request::decode(&single),
+                Err(CodecError::Malformed { .. })
+            ));
+            let batch = Request::SubmitBatch {
+                jobs: vec![(0, Some(1.0)), (1, Some(at))],
+            }
+            .encode();
+            assert!(Request::decode(&batch).is_err());
+        }
+        let ok = Request::Submit {
+            job: 3,
+            at: Some(2.5),
+        };
+        assert_eq!(Request::decode(&ok.encode()).unwrap(), ok);
     }
 }

@@ -135,8 +135,13 @@ impl Clock for WallClock {
     }
 
     fn wait_hint(&self, t: Time) -> Option<std::time::Duration> {
+        // Saturates: a target too far out for a `Duration` waits forever
+        // rather than panicking.
         let remaining = t - self.now();
-        (remaining > 0.0).then(|| std::time::Duration::from_secs_f64(remaining / self.speedup))
+        (remaining > 0.0).then(|| {
+            std::time::Duration::try_from_secs_f64(remaining / self.speedup)
+                .unwrap_or(std::time::Duration::MAX)
+        })
     }
 }
 
@@ -153,6 +158,15 @@ mod tests {
         assert_eq!(c.advance_to(1.0), 5.0);
         assert_eq!(c.now(), 5.0);
         assert_eq!(c.wait_hint(100.0), None);
+    }
+
+    #[test]
+    fn wall_clock_wait_hint_saturates() {
+        let c = WallClock::new(1.0);
+        let max = Some(std::time::Duration::MAX);
+        assert_eq!(c.wait_hint(f64::INFINITY), max);
+        assert_eq!(c.wait_hint(1e300), max);
+        assert_eq!(c.wait_hint(f64::NAN), None);
     }
 
     #[test]

@@ -34,7 +34,7 @@ use mris_types::{
 };
 
 use crate::clock::Clock;
-use crate::core::{JobOutcome, Service, ServiceConfig};
+use crate::core::{Service, ServiceConfig};
 use crate::journal::{
     config_fingerprint, parse_journal, read_valid_prefix, Durability, DurabilityConfig,
     DurabilitySink, JournalRecord, ReplayVerifier,
@@ -187,7 +187,6 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
             run_cfg.fault_plan = FaultPlan::from_events(events);
         }
 
-        let num_jobs = instance.len();
         let mut svc = Service::new(instance, policy, run_cfg, clock, sink)?;
         svc.dur = Some(Box::new(Durability::new(
             dcfg,
@@ -221,18 +220,10 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
                 | JournalRecord::Reject {
                     at, job, tenant, ..
                 } => {
-                    if job as usize >= num_jobs
-                        || !matches!(svc.outcomes[job as usize], JobOutcome::NotSubmitted)
-                    {
+                    if let Err(e) = svc.check_submission(JobId(job), TenantId(tenant)) {
                         return Err(RestoreError::Divergence {
                             lsn: cursor as u64,
-                            detail: format!("journal offers unknown or duplicate job {job}"),
-                        });
-                    }
-                    if tenant as usize >= svc.cfg.tenants.len().max(1) {
-                        return Err(RestoreError::Divergence {
-                            lsn: cursor as u64,
-                            detail: format!("journal names unknown tenant {tenant}"),
+                            detail: format!("journal offers an invalid submission: {e}"),
                         });
                     }
                     // The decision is re-derived; the emission it triggers
@@ -262,7 +253,7 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
             }
         }
 
-        let resumed_at = svc.last_event;
+        let resumed_at = svc.last_event();
         let dur = svc.dur.take().expect("verifier attached above");
         let verifier = match dur.sink {
             DurabilitySink::Verify(v) => v,

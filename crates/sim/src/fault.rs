@@ -347,9 +347,8 @@ pub struct ChaosOutcome {
 /// Resolves a [`FaultTarget`] against the instantaneous cluster state:
 /// `Machine(m)` hits `m` iff it is in range and up; `Busiest` picks the up
 /// machine running the most jobs (lowest index wins ties). `None` means the
-/// strike is absorbed. Public so external fault-replaying drivers (the
-/// `mris-service` event loop) share the chaos driver's exact semantics.
-pub fn resolve_fault_target(target: FaultTarget, cluster: &ClusterState) -> Option<usize> {
+/// strike is absorbed.
+pub(crate) fn resolve_fault_target(target: FaultTarget, cluster: &ClusterState) -> Option<usize> {
     match target {
         FaultTarget::Machine(m) => (m < cluster.num_machines() && cluster.is_up(m)).then_some(m),
         FaultTarget::Busiest => {

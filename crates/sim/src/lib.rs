@@ -17,11 +17,12 @@
 //!   in-flight jobs, re-releases them as fresh arrivals, and audits every
 //!   run with an invariant checker ([`FaultLog::verify`]).
 //!
-//! All online execution flows through one event loop: [`run_driver`] with
-//! a [`RunOptions`] builder (fault plan, restart semantics). The classic
-//! entry points [`run_online`], [`run_online_observed`], and
-//! [`run_online_chaos`] are thin wrappers over it — no call site
-//! constructs the event loop by hand.
+//! All online execution flows through one event engine ([`Engine`]): the
+//! batch driver [`run_driver`] (with a [`RunOptions`] builder for fault
+//! plan and restart semantics) and the `mris-service` event loop each own
+//! one and differ only in their [`EngineHooks`]. The classic entry points
+//! [`run_online`], [`run_online_observed`], and [`run_online_chaos`] are
+//! thin wrappers over `run_driver`.
 //!
 //! All resource arithmetic is exact fixed-point (`mris_types::Amount`).
 
@@ -33,6 +34,7 @@
 
 mod cluster;
 mod driver;
+mod engine;
 mod fault;
 mod online;
 #[allow(unsafe_code)]
@@ -42,9 +44,10 @@ mod timeline;
 
 pub use cluster::ClusterState;
 pub use driver::{run_driver, run_driver_observed, RunOptions};
+pub use engine::{Engine, EngineHooks, FaultKind, StepStats};
 pub use fault::{
-    resolve_fault_target, run_online_chaos, suggested_horizon, ChaosOutcome, ChaosViolation,
-    CompletionRecord, FailureRecord, FaultLog, FaultPlan, PoissonFaultConfig, RackBurstConfig,
+    run_online_chaos, suggested_horizon, ChaosOutcome, ChaosViolation, CompletionRecord,
+    FailureRecord, FaultLog, FaultPlan, PoissonFaultConfig, RackBurstConfig,
 };
 pub use online::{run_online, run_online_observed, Dispatcher, EventSnapshot, OnlinePolicy};
 pub use precedence::PrecedenceGate;
