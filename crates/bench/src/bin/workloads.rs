@@ -183,7 +183,10 @@ fn main() {
                 "uniform" => ClusterSpec::uniform(machines),
                 _ => ClusterSpec::related(machines, &speeds),
             };
-            eprintln!("  {family} x {cluster_kind} ({} edges) ...", instance.edges().len());
+            eprintln!(
+                "  {family} x {cluster_kind} ({} edges) ...",
+                instance.edges().len()
+            );
             let mut results = Vec::new();
             for &name in &names {
                 let algo = match algorithm_for_workload(name, &instance, &spec) {
@@ -243,8 +246,12 @@ fn main() {
     }
 
     let reg = obs.registry();
-    let gated = reg.counter_value("mris_prec_gated_total", None).unwrap_or(0);
-    let ready = reg.counter_value("mris_prec_ready_total", None).unwrap_or(0);
+    let gated = reg
+        .counter_value("mris_prec_gated_total", None)
+        .unwrap_or(0);
+    let ready = reg
+        .counter_value("mris_prec_ready_total", None)
+        .unwrap_or(0);
     let revoked = reg
         .counter_value("mris_prec_revoked_total", None)
         .unwrap_or(0);
@@ -257,7 +264,10 @@ fn main() {
     let families_json: Vec<String> = FAMILIES.iter().map(|f| format!("\"{f}\"")).collect();
     let clusters_json: Vec<String> = CLUSTERS.iter().map(|c| format!("\"{c}\"")).collect();
     let speeds_json: Vec<String> = speeds.iter().map(|s| s.to_string()).collect();
-    let grid_json: Vec<String> = grid.iter().map(|c| format!("    {}", c.to_json())).collect();
+    let grid_json: Vec<String> = grid
+        .iter()
+        .map(|c| format!("    {}", c.to_json()))
+        .collect();
     let json = format!(
         concat!(
             "{{\n",
