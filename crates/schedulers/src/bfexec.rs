@@ -10,11 +10,10 @@
 //! arrived" — a newly arrived job is tried immediately, ahead of older
 //! queued jobs — while draining the queue in SJF order.
 
-use std::collections::BTreeSet;
-
 use mris_sim::{run_online, Dispatcher, OnlinePolicy, OrdTime};
 use mris_types::{fraction, Amount, Instance, JobId, Schedule, SchedulingError, Time};
 
+use crate::fit_queue::FitQueue;
 use crate::Scheduler;
 
 /// The BF-EXEC online policy. Use through [`BfExec`] unless composing your
@@ -22,7 +21,7 @@ use crate::Scheduler;
 #[derive(Debug, Clone, Default)]
 pub struct BfExecPolicy {
     /// Queue ordered by (processing time, id): SJF draining.
-    pending: BTreeSet<(OrdTime, JobId)>,
+    pending: FitQueue,
     fresh: Vec<JobId>,
 }
 
@@ -54,17 +53,21 @@ impl OnlinePolicy for BfExecPolicy {
     fn dispatch(&mut self, d: &mut Dispatcher<'_>, freed: &[usize]) -> Result<(), SchedulingError> {
         let instance = d.instance();
         // Departure rule first: backfill each freed machine in SJF order.
+        // One walk per machine equals rescanning from the front after each
+        // placement: the machine's capacity only shrinks, so a job passed
+        // over stays unplaceable there.
         for &m in freed {
-            loop {
-                let next = self
-                    .pending
-                    .iter()
-                    .find(|&&(_, j)| d.cluster().fits(m, &instance.job(j).demands))
-                    .copied();
-                let Some(entry) = next else { break };
-                d.place(m, entry.1)?;
-                self.pending.remove(&entry);
-            }
+            self.pending.take_each(
+                d,
+                |d, min, _| d.cluster().fits(m, min),
+                |d, j, demands| {
+                    if !d.cluster().fits(m, demands) {
+                        return Ok(false);
+                    }
+                    d.place(m, j)?;
+                    Ok(true)
+                },
+            )?;
         }
         // Arrival rule: best-fit each fresh job, else queue it.
         for &j in &std::mem::take(&mut self.fresh) {
@@ -78,9 +81,7 @@ impl OnlinePolicy for BfExecPolicy {
                 });
             match best {
                 Some(m) => d.place(m, j)?,
-                None => {
-                    self.pending.insert((OrdTime(job.proc_time), j));
-                }
+                None => self.pending.insert(OrdTime(job.proc_time), j, &job.demands),
             }
         }
         Ok(())

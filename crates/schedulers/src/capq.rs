@@ -7,11 +7,10 @@
 //! (Figure 5) and at heavy load the other event-driven schedulers converge
 //! to it (Figure 3).
 
-use std::collections::BTreeSet;
-
 use mris_sim::{run_online, Dispatcher, OnlinePolicy, OrdTime};
 use mris_types::{Instance, JobId, Schedule, SchedulingError, Time};
 
+use crate::fit_queue::{first_fit_among, FitQueue};
 use crate::{Scheduler, SortHeuristic};
 
 /// The CA-PQ policy: holds every job until `gate` (the last release time),
@@ -22,7 +21,7 @@ pub struct CaPqPolicy {
     heuristic: SortHeuristic,
     gate: Time,
     started: bool,
-    pending: BTreeSet<(OrdTime, JobId)>,
+    pending: FitQueue,
 }
 
 impl CaPqPolicy {
@@ -34,7 +33,7 @@ impl CaPqPolicy {
             heuristic,
             gate,
             started: false,
-            pending: BTreeSet::new(),
+            pending: FitQueue::default(),
         }
     }
 }
@@ -42,8 +41,9 @@ impl CaPqPolicy {
 impl OnlinePolicy for CaPqPolicy {
     fn on_arrivals(&mut self, _now: Time, arrived: &[JobId], instance: &Instance) {
         for &j in arrived {
+            let job = instance.job(j);
             self.pending
-                .insert((OrdTime(self.heuristic.key(instance.job(j))), j));
+                .insert(OrdTime(self.heuristic.key(job)), j, &job.demands);
         }
     }
 
@@ -51,30 +51,28 @@ impl OnlinePolicy for CaPqPolicy {
         if d.now() < self.gate {
             return Ok(());
         }
-        let instance = d.instance();
-        let mut placed = Vec::new();
-        for &(key, j) in self.pending.iter() {
-            let demands = &instance.job(j).demands;
-            // First dispatch (the batch release): scan all machines. After
-            // that only completions occur, so only freed machines can admit.
-            let machine = if self.started {
-                freed
-                    .iter()
-                    .copied()
-                    .find(|&m| d.cluster().fits(m, demands))
+        // First dispatch (the batch release): scan all machines. After that
+        // only completions occur, so only freed machines can admit.
+        let started = self.started;
+        let fits = |d: &Dispatcher<'_>, demands: &[_]| {
+            if started {
+                first_fit_among(d.cluster(), freed, demands)
             } else {
                 d.cluster().first_fit(demands)
-            };
-            if let Some(m) = machine {
-                d.place(m, j)?;
-                placed.push((key, j));
             }
-        }
+        };
         self.started = true;
-        for entry in placed {
-            self.pending.remove(&entry);
-        }
-        Ok(())
+        self.pending.take_each(
+            d,
+            |d, min, _| fits(d, min).is_some(),
+            |d, j, demands| {
+                let Some(m) = fits(d, demands) else {
+                    return Ok(false);
+                };
+                d.place(m, j)?;
+                Ok(true)
+            },
+        )
     }
 }
 

@@ -22,6 +22,7 @@
 
 mod bfexec;
 mod capq;
+mod fit_queue;
 mod heuristic;
 mod pq;
 mod tetris;

@@ -5,16 +5,23 @@
 //! machine (first fit). The implementation exploits that between events
 //! nothing changes: at a completion event only the machines that freed
 //! capacity can newly admit an *old* pending job, and at an arrival event
-//! only the *newly arrived* jobs can be admissible at all. This keeps each
-//! event to one ordered scan with O(R) feasibility checks per job while
-//! producing exactly the schedule of the textbook full rescan (verified by a
-//! cross-check against [`NaivePqPolicy`] in the tests).
+//! only the *newly arrived* jobs can be admissible at all.
+//!
+//! The queue is a `FitQueue`: short sorted blocks, each with the
+//! per-resource minimum demand of its jobs. A dispatch scans every block
+//! holding a fresh arrival, and any other block only if its minimum fits on
+//! a freed machine; capacity only shrinks during the dispatch, so a skipped
+//! block could not have started a job. The cost of an event is thus the
+//! number of blocks plus the jobs of the blocks that might fit, and the
+//! schedule is exactly that of the textbook full rescan (verified against
+//! [`NaivePqPolicy`] in the tests).
 
 use std::collections::BTreeSet;
 
 use mris_sim::{run_online, Dispatcher, OnlinePolicy, OrdTime};
 use mris_types::{Instance, JobId, Schedule, SchedulingError, Time};
 
+use crate::fit_queue::{first_fit_among, FitQueue};
 use crate::{Scheduler, SortHeuristic};
 
 /// The PQ online policy. Use through [`Pq`] unless you are composing your
@@ -22,7 +29,7 @@ use crate::{Scheduler, SortHeuristic};
 #[derive(Debug, Clone)]
 pub struct PqPolicy {
     heuristic: SortHeuristic,
-    pending: BTreeSet<(OrdTime, JobId)>,
+    pending: FitQueue,
     fresh: Vec<JobId>,
 }
 
@@ -31,7 +38,7 @@ impl PqPolicy {
     pub fn new(heuristic: SortHeuristic) -> Self {
         PqPolicy {
             heuristic,
-            pending: BTreeSet::new(),
+            pending: FitQueue::default(),
             fresh: Vec::new(),
         }
     }
@@ -50,45 +57,44 @@ impl OnlinePolicy for PqPolicy {
     fn dispatch(&mut self, d: &mut Dispatcher<'_>, freed: &[usize]) -> Result<(), SchedulingError> {
         let instance = d.instance();
         for &j in &self.fresh {
+            let job = instance.job(j);
             self.pending
-                .insert((OrdTime(self.heuristic.key(instance.job(j))), j));
+                .insert(OrdTime(self.heuristic.key(job)), j, &job.demands);
         }
-        let mut fresh: Vec<JobId> = std::mem::take(&mut self.fresh);
-        fresh.sort_unstable();
-        if freed.is_empty() && fresh.is_empty() {
+        if freed.is_empty() && self.fresh.is_empty() {
             return Ok(());
         }
-        let mut placed: Vec<(OrdTime, JobId)> = Vec::new();
-        for &(key, j) in self.pending.iter() {
-            let demands = &instance.job(j).demands;
-            // Old pending jobs were infeasible everywhere at the previous
-            // event and capacity has only shrunk elsewhere, so they need only
-            // be checked against machines that just freed capacity. `freed`
-            // is sorted, so this remains first fit.
-            let machine = if fresh.binary_search(&j).is_ok() {
-                d.cluster().first_fit(demands)
-            } else {
-                freed
-                    .iter()
-                    .copied()
-                    .find(|&m| d.cluster().fits(m, demands))
-            };
-            if let Some(m) = machine {
+        self.fresh.sort_unstable();
+        let fresh = &self.fresh;
+        let result = self.pending.take_each(
+            d,
+            // Blocks with fresh jobs are always scanned; any other block
+            // only if its minimum demand fits on a freed machine.
+            |d, min, has_fresh| has_fresh || first_fit_among(d.cluster(), freed, min).is_some(),
+            |d, j, demands| {
+                // Old pending jobs were infeasible everywhere at the previous
+                // event and capacity has only shrunk elsewhere, so they need
+                // only be checked against machines that just freed capacity.
+                // `freed` is sorted, so this remains first fit.
+                let machine = if fresh.binary_search(&j).is_ok() {
+                    d.cluster().first_fit(demands)
+                } else {
+                    first_fit_among(d.cluster(), freed, demands)
+                };
+                let Some(m) = machine else { return Ok(false) };
                 d.place(m, j)?;
-                placed.push((key, j));
-            }
-        }
-        for entry in placed {
-            self.pending.remove(&entry);
-        }
-        Ok(())
+                Ok(true)
+            },
+        );
+        self.fresh.clear();
+        result
     }
 
     fn encode_durable_state(&self, out: &mut Vec<u8>) -> bool {
-        // BTreeSet iterates sorted, and `fresh` is in deterministic arrival
-        // order, so the encoding is already canonical.
+        // The queue iterates in (key, id) order, and `fresh` is in
+        // deterministic arrival order, so the encoding is already canonical.
         out.extend_from_slice(&(self.pending.len() as u64).to_le_bytes());
-        for &(OrdTime(key), j) in &self.pending {
+        for (OrdTime(key), j) in self.pending.iter() {
             out.extend_from_slice(&key.to_bits().to_le_bytes());
             out.extend_from_slice(&j.0.to_le_bytes());
         }
@@ -230,6 +236,63 @@ mod tests {
         s.validate(&instance).unwrap();
         assert_eq!(s.get(JobId(2)).unwrap().start, 5.0);
         assert_eq!(s.get(JobId(1)).unwrap().start, 6.0);
+    }
+
+    /// Delivers its jobs at the first event.
+    struct DeliverOnce(Vec<JobId>);
+
+    impl mris_sim::EngineHooks for DeliverOnce {
+        fn deliver(
+            &mut self,
+            _now: Time,
+            _gate: &mut mris_sim::PrecedenceGate,
+            _instance: &Instance,
+            out: &mut Vec<JobId>,
+        ) {
+            out.append(&mut self.0);
+        }
+    }
+
+    #[test]
+    fn durable_state_bytes_are_pending_entries_in_key_order() {
+        // 300 full-machine jobs on one machine: one starts, the rest queue
+        // (inserted out of key order, so the queue splits into blocks).
+        // Two more arrive after the dispatch and sit in `fresh`.
+        let jobs = (0..302)
+            .map(|i| j(0.0, (1 + i % 5) as f64, (1 + i % 3) as f64, &[1.0]))
+            .collect();
+        let instance = Instance::from_unnumbered(jobs, 1).unwrap();
+        let mut policy = PqPolicy::new(SortHeuristic::Wsjf);
+        let mut engine = mris_sim::Engine::new(
+            std::borrow::Cow::Borrowed(&instance),
+            &mris_types::ClusterSpec::uniform(1),
+            std::borrow::Cow::Borrowed(&[]),
+            mris_types::RestartSemantics::FullRestart,
+        );
+        let mut hooks = DeliverOnce((0..300).map(JobId).collect());
+        engine.step(0.0, &mut policy, &mut hooks).unwrap();
+        let late = [JobId(301), JobId(300)];
+        policy.on_arrivals(0.0, &late, &instance);
+        assert!(policy.pending.num_blocks() > 1);
+
+        let mut want = Vec::new();
+        let pending: BTreeSet<(OrdTime, JobId)> = instance.jobs()[..300]
+            .iter()
+            .filter(|job| engine.schedule().get(job.id).is_none())
+            .map(|job| (OrdTime(SortHeuristic::Wsjf.key(job)), job.id))
+            .collect();
+        want.extend_from_slice(&(pending.len() as u64).to_le_bytes());
+        for &(OrdTime(key), id) in &pending {
+            want.extend_from_slice(&key.to_bits().to_le_bytes());
+            want.extend_from_slice(&id.0.to_le_bytes());
+        }
+        want.extend_from_slice(&(late.len() as u64).to_le_bytes());
+        for id in late {
+            want.extend_from_slice(&id.0.to_le_bytes());
+        }
+        let mut got = Vec::new();
+        assert!(policy.encode_durable_state(&mut got));
+        assert_eq!(got, want);
     }
 
     #[test]
