@@ -252,6 +252,7 @@ fn main() {
         "mris_service_epochs_total",
         "mris_service_decision_latency_seconds",
         "mris_schedule_seconds",
+        "mris_policy_dispatch_seconds",
         "mris_journal_appends_total",
         "mris_journal_bytes_total",
         "mris_journal_fsyncs_total",

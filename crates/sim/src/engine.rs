@@ -162,7 +162,8 @@ impl<'a> Engine<'a> {
     /// failure at `now`), then recoveries, then failures (a machine
     /// recovering at `now` can be re-failed by a strike at `now`), then
     /// deliveries of released jobs, then this instant's re-releases, then
-    /// one dispatch, then the debug invariant audit. A failure targeting a
+    /// one dispatch (timed by the `mris_policy_dispatch_seconds` span), then
+    /// the debug invariant audit. A failure targeting a
     /// machine that is down (or out of range) at fire time is absorbed
     /// without effect.
     ///
@@ -304,6 +305,8 @@ impl<'a> Engine<'a> {
             if self.gate.is_active() {
                 dispatcher.set_gate(&self.gate);
             }
+            // Every policy's dispatch cost, in batch and service runs alike.
+            let _span = mris_obs::span!("mris_policy_dispatch_seconds");
             policy.dispatch(&mut dispatcher, &self.freed)?;
         }
         for &(job, machine) in &self.placed {

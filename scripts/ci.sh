@@ -184,6 +184,7 @@ for family in mris_dispatcher_placements_total mris_knapsack_solves_total \
   mris_timeline_probes_total mris_timeline_commits_total \
   mris_service_admitted_total mris_service_epochs_total \
   mris_service_decision_latency_seconds mris_schedule_seconds \
+  mris_policy_dispatch_seconds \
   mris_epoch_grid_seconds mris_epoch_filter_seconds mris_epoch_solve_seconds \
   mris_epoch_probe_seconds mris_epoch_commit_seconds \
   mris_journal_appends_total \
