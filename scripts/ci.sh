@@ -12,7 +12,6 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy (workspace, all targets, -D warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
-cargo clippy -p mris-bench --features criterion --benches --offline -- -D warnings
 
 echo "==> cargo build --release --offline"
 cargo build --release --offline --workspace
@@ -25,9 +24,6 @@ cargo test -q --offline --workspace
 # clamping), so the sim suite must also run in release mode.
 echo "==> cargo test -q --release --offline -p mris-sim"
 cargo test -q --release --offline -p mris-sim
-
-echo "==> benches compile under --features criterion"
-cargo build --offline -p mris-bench --features criterion --benches
 
 echo "==> timeline bench smoke run + schema check"
 mkdir -p results
