@@ -94,9 +94,9 @@ for key in '"bench": "service"' '"mode": "smoke"' '"poisson_rate"' \
     || { echo "BENCH_service_smoke.json is missing $key" >&2; exit 1; }
 done
 
-echo "==> durability suites in release (crash-restart equivalence + codec fuzz)"
+echo "==> durability suites in release (crash-restart equivalence + codec fuzz + artifact golden)"
 cargo test -q --release --offline -p mris-service \
-  --test crash_restart --test durability_codec
+  --test crash_restart --test durability_codec --test durability_golden
 
 echo "==> net + tenancy suites in release (TCP ≡ in-process, frame fuzz, DRR split)"
 cargo test -q --release --offline -p mris-net --test net_conservativity
