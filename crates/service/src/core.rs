@@ -826,10 +826,9 @@ impl<C: Clock, S: TelemetrySink> Service<C, S> {
         self.sink.epoch(&record);
 
         // Durability boundary: snapshot if due, flush at cadence. The state
-        // encoding is computed only at snapshot points.
+        // encoding is computed only where a snapshot needs it.
         if let Some(mut d) = self.dur.take() {
-            let state = d.snapshot_due().then(|| self.durable_state_bytes());
-            d.event_end(now, state);
+            d.event_end(now, || self.durable_state_bytes());
             self.dur = Some(d);
         }
         Ok(())

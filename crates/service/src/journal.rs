@@ -749,30 +749,32 @@ impl Durability {
         }
     }
 
-    /// Whether the next event boundary is a snapshot point — asked by the
-    /// service *before* [`Durability::event_end`] so it can compute the
-    /// (expensive) state encoding only when needed.
-    pub(crate) fn snapshot_due(&self) -> bool {
+    /// Whether the next event boundary is a snapshot point.
+    fn snapshot_due(&self) -> bool {
         self.cfg.snapshot_every > 0 && self.events_since_snapshot + 1 >= self.cfg.snapshot_every
     }
 
-    /// Event-boundary bookkeeping: snapshot (if due; `state` carries the
-    /// service's canonical state bytes) and flush (at the flush cadence).
-    pub(crate) fn event_end(&mut self, now: Time, state: Option<Vec<u8>>) {
-        if let Some(state) = state {
-            debug_assert!(self.snapshot_due());
+    /// Event-boundary bookkeeping: snapshot (if due) and flush (at the
+    /// flush cadence). `state` encodes the service's canonical state bytes;
+    /// it is expensive, so it runs only where the bytes are used: at every
+    /// snapshot point of a live journal, and during replay only at the
+    /// verifier's stored snapshot, while replay has not yet diverged.
+    pub(crate) fn event_end(&mut self, now: Time, state: impl FnOnce() -> Vec<u8>) {
+        if self.snapshot_due() {
+            // The mark and the counter reset happen at every due point, in
+            // both modes, so replay emits the same records as the original.
             self.events_since_snapshot = 0;
             let lsn = self.records;
             self.emit(JournalRecord::SnapshotMark { lsn });
-            let snap = Snapshot {
-                version: SNAPSHOT_VERSION,
-                fingerprint: self.fingerprint,
-                lsn,
-                at: now,
-                state,
-            };
             match &mut self.sink {
                 DurabilitySink::Journal { snapshots, .. } => {
+                    let snap = Snapshot {
+                        version: SNAPSHOT_VERSION,
+                        fingerprint: self.fingerprint,
+                        lsn,
+                        at: now,
+                        state: state(),
+                    };
                     let started = std::time::Instant::now();
                     if let Err(e) = snapshots.put(&snap) {
                         self.error.get_or_insert(e);
@@ -783,18 +785,13 @@ impl Durability {
                     );
                 }
                 DurabilitySink::Verify(v) => {
-                    if v.divergence.is_none() {
-                        if let Some(stored) = &v.snapshot {
-                            if stored.lsn == lsn {
-                                if stored.state == snap.state {
-                                    v.snapshot_verified = Some(lsn);
-                                } else {
-                                    v.divergence =
-                                        Some(mris_types::RestoreError::SnapshotStateMismatch {
-                                            lsn,
-                                        });
-                                }
-                            }
+                    let at_mark = v.snapshot.as_ref().filter(|s| s.lsn == lsn);
+                    if let (None, Some(stored)) = (&v.divergence, at_mark) {
+                        if stored.state == state() {
+                            v.snapshot_verified = Some(lsn);
+                        } else {
+                            v.divergence =
+                                Some(mris_types::RestoreError::SnapshotStateMismatch { lsn });
                         }
                     }
                 }

@@ -32,6 +32,9 @@ use crate::codec::{crc32, Decoder, Encoder};
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"MRSN";
 /// Newest snapshot format version this build reads and writes.
 pub const SNAPSHOT_VERSION: u32 = 1;
+/// Container bytes before the state: magic, version, fingerprint, lsn, at,
+/// state length and CRC.
+const SNAPSHOT_HEADER_LEN: usize = 40;
 
 /// One decoded (or to-be-encoded) snapshot.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,7 +55,7 @@ impl Snapshot {
     /// Encodes the container; encode→decode→encode is byte-identical
     /// (pinned by the codec round-trip suite).
     pub fn encode(&self) -> Vec<u8> {
-        let mut e = Encoder::new();
+        let mut e = Encoder::with_capacity(SNAPSHOT_HEADER_LEN + self.state.len());
         e.bytes(&SNAPSHOT_MAGIC);
         e.u32(self.version);
         e.u64(self.fingerprint);
@@ -60,6 +63,7 @@ impl Snapshot {
         e.f64(self.at);
         e.u32(self.state.len() as u32);
         e.u32(crc32(&self.state));
+        debug_assert_eq!(e.len(), SNAPSHOT_HEADER_LEN);
         e.bytes(&self.state);
         e.into_bytes()
     }
